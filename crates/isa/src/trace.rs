@@ -17,7 +17,6 @@ use crate::instr::{Instr, InstrInstance};
 use jungle_core::history::{History, OpInstance};
 use jungle_core::ids::{OpId, ProcId};
 use jungle_core::op::Op;
-use std::collections::HashMap;
 
 /// Errors detected when validating a trace.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -67,28 +66,43 @@ pub struct Trace {
 
 impl Trace {
     /// Validate and construct a trace from instruction instances.
+    ///
+    /// Reports the first error in scan order. Validation neither hashes
+    /// nor allocates beyond the operation list: a process's open
+    /// operation is its latest one if that is incomplete, found by
+    /// scanning the list backwards; and an invocation is checked for a
+    /// duplicate id only when its id is not above every id seen so far
+    /// (recorded traces allocate ids in increasing order, so they never
+    /// pay for that scan).
     pub fn new(instrs: Vec<InstrInstance>) -> Result<Self, TraceError> {
-        // Per-process currently open operation.
-        let mut open: HashMap<ProcId, usize> = HashMap::new(); // proc -> index into ops
-        let mut ops: Vec<TraceOp> = Vec::new();
-        let mut seen: HashMap<(ProcId, OpId), ()> = HashMap::new();
+        let n_ops = instrs
+            .iter()
+            .filter(|ii| matches!(ii.instr, Instr::Inv(_)))
+            .count();
+        let mut ops: Vec<TraceOp> = Vec::with_capacity(n_ops);
+        let mut max_id: Option<OpId> = None;
 
         for (i, ii) in instrs.iter().enumerate() {
+            let open = ops
+                .iter()
+                .rposition(|o| o.proc == ii.proc)
+                .filter(|&k| !ops[k].complete);
             match &ii.instr {
                 Instr::Inv(op) => {
-                    if open.contains_key(&ii.proc) {
+                    if open.is_some() {
                         return Err(TraceError::InterleavedOperations {
                             proc: ii.proc,
                             op: ii.op,
                         });
                     }
-                    if seen.insert((ii.proc, ii.op), ()).is_some() {
+                    let fresh = max_id.is_none_or(|m| ii.op > m);
+                    if !fresh && ops.iter().any(|o| o.proc == ii.proc && o.id == ii.op) {
                         return Err(TraceError::DuplicateOperation {
                             proc: ii.proc,
                             op: ii.op,
                         });
                     }
-                    open.insert(ii.proc, ops.len());
+                    max_id = max_id.max(Some(ii.op));
                     ops.push(TraceOp {
                         id: ii.op,
                         op: op.clone(),
@@ -99,23 +113,17 @@ impl Trace {
                     });
                 }
                 Instr::Resp(_) => {
-                    let Some(oi) = open.remove(&ii.proc) else {
+                    let Some(oi) = open.filter(|&k| ops[k].id == ii.op) else {
                         return Err(TraceError::UnmatchedResponse {
                             proc: ii.proc,
                             op: ii.op,
                         });
                     };
-                    if ops[oi].id != ii.op {
-                        return Err(TraceError::UnmatchedResponse {
-                            proc: ii.proc,
-                            op: ii.op,
-                        });
-                    }
                     ops[oi].last = i;
                     ops[oi].complete = true;
                 }
                 _ => {
-                    let Some(&oi) = open.get(&ii.proc) else {
+                    let Some(oi) = open else {
                         return Err(TraceError::InstrOutsideOperation {
                             proc: ii.proc,
                             op: ii.op,
@@ -656,6 +664,36 @@ mod tests {
             Trace::new(instrs),
             Err(TraceError::DuplicateOperation { .. })
         ));
+    }
+
+    #[test]
+    fn duplicate_check_covers_ids_below_the_maximum() {
+        // Ids need not increase: an id at or below the largest seen so
+        // far is a duplicate only for the same process.
+        let complete = |proc: u32, id: u32| {
+            [
+                InstrInstance {
+                    instr: Instr::Inv(rd(0, 0)),
+                    proc: p(proc),
+                    op: OpId(id),
+                },
+                InstrInstance {
+                    instr: Instr::Resp(rd(0, 0)),
+                    proc: p(proc),
+                    op: OpId(id),
+                },
+            ]
+        };
+        let ok: Vec<InstrInstance> = [complete(1, 5), complete(2, 3), complete(1, 3)].concat();
+        assert_eq!(Trace::new(ok.clone()).unwrap().ops().len(), 3);
+        let dup = [ok, complete(2, 3).to_vec(), complete(2, 1).to_vec()].concat();
+        assert_eq!(
+            Trace::new(dup).unwrap_err(),
+            TraceError::DuplicateOperation {
+                proc: p(2),
+                op: OpId(3)
+            }
+        );
     }
 
     #[test]

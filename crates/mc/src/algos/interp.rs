@@ -153,11 +153,11 @@ impl Process for TmProcess {
                         self.phase = Ph::Finished;
                         continue;
                     }
-                    match self.stmts[self.stmt_idx].clone() {
-                        Stmt::Txn { .. } | Stmt::TxnGuard { .. } => self.phase = Ph::TxnStartInv,
-                        Stmt::NtRead(v) => self.phase = Ph::NtReadInv(v),
-                        Stmt::NtWrite(v, val) => self.phase = Ph::NtWriteInv(v, val),
-                    }
+                    self.phase = match self.stmts[self.stmt_idx] {
+                        Stmt::Txn { .. } | Stmt::TxnGuard { .. } => Ph::TxnStartInv,
+                        Stmt::NtRead(v) => Ph::NtReadInv(v),
+                        Stmt::NtWrite(v, val) => Ph::NtWriteInv(v, val),
+                    };
                 }
 
                 // ---- transaction start -------------------------------

@@ -119,13 +119,16 @@ impl DporCursor {
         self.blocked = false;
     }
 
-    /// The decision path of the current exploration position, from the
-    /// absolute root (donated prefixes included). Immediately after a
-    /// run this is the run's full decision path; immediately after
-    /// [`advance`](Self::advance) it is the prefix every subsequent run
-    /// of this cursor extends.
-    pub fn path(&self) -> Vec<usize> {
-        self.stack.iter().map(|n| n.chosen).collect()
+    /// Overwrite `out` with the decision path of the current
+    /// exploration position, from the absolute root (donated prefixes
+    /// included). Immediately after a run this is the run's full
+    /// decision path; immediately after [`advance`](Self::advance) it
+    /// is the prefix every subsequent run of this cursor extends. The
+    /// caller's buffer is reused, so polling the path once per run
+    /// allocates nothing.
+    pub fn path_into(&self, out: &mut Vec<usize>) {
+        out.clear();
+        out.extend(self.stack.iter().map(|n| n.chosen));
     }
 
     /// Depth (from the absolute root, donated prefixes included) of the
@@ -302,9 +305,15 @@ mod tests {
 
     fn fp_w(cpu: usize, addr: u32) -> Footprint {
         Footprint {
-            writes: vec![addr],
+            writes: [addr].into_iter().collect(),
             ..Footprint::on(cpu)
         }
+    }
+
+    fn path(c: &DporCursor) -> Vec<usize> {
+        let mut out = vec![7]; // stale contents must be overwritten
+        c.path_into(&mut out);
+        out
     }
 
     #[test]
@@ -356,7 +365,7 @@ mod tests {
         c.observe(&fp_w(0, 0));
         assert_eq!(c.choose(&acts3), 0);
         c.observe(&fp_w(0, 1));
-        assert_eq!(c.path(), vec![0, 0]);
+        assert_eq!(path(&c), vec![0, 0]);
         // Donate the root's remaining branches 1..3.
         let (prefix, sleep, next) = c.split_shallowest().expect("root is splittable");
         assert!(prefix.is_empty());
@@ -364,14 +373,14 @@ mod tests {
         assert_eq!(sleep.len(), 1, "in-progress branch is pre-slept");
         // The donor no longer explores them…
         assert!(c.advance(), "depth-1 siblings remain");
-        assert_eq!(c.path(), vec![0, 1]);
+        assert_eq!(path(&c), vec![0, 1]);
         c.rewind();
         // …while a receiving cursor starts exactly there: the donated
         // node IS the root (empty prefix), opened at branch `next`.
         let mut w = DporCursor::with_base(prefix, sleep, next);
         w.rewind();
         assert_eq!(w.choose(&acts3), 1, "starts at the donated branch");
-        assert_eq!(w.path(), vec![1]);
+        assert_eq!(path(&w), vec![1]);
     }
 
     #[test]
@@ -383,7 +392,7 @@ mod tests {
         w.observe(&fp_w(1, 0));
         assert_eq!(w.choose(&acts), 1, "frontier starts at `next`");
         w.observe(&fp_w(0, 1));
-        assert_eq!(w.path(), vec![1, 1]);
+        assert_eq!(path(&w), vec![1, 1]);
         // Exhausting the donated node stops at the pinned prefix.
         assert!(!w.advance());
     }

@@ -107,7 +107,7 @@ mod tests {
 
     fn w(cpu: usize, addr: u32) -> Footprint {
         Footprint {
-            writes: vec![addr],
+            writes: [addr].into_iter().collect(),
             ..Footprint::on(cpu)
         }
     }
@@ -149,17 +149,17 @@ mod tests {
     #[test]
     fn footprint_kinds_classify_by_shape() {
         let read = Footprint {
-            reads: vec![1],
+            reads: [1].into_iter().collect(),
             ..Footprint::on(0)
         };
         let rmw = Footprint {
-            reads: vec![1],
-            writes: vec![1],
+            reads: [1].into_iter().collect(),
+            writes: [1].into_iter().collect(),
             ..Footprint::on(0)
         };
         let fence = Footprint {
             fence: true,
-            writes: vec![1],
+            writes: [1].into_iter().collect(),
             ..Footprint::on(0)
         };
         let boundary = Footprint {

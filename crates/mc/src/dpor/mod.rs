@@ -191,6 +191,8 @@ where
             scope.spawn(move || {
                 let mut local = DporOutcome::default();
                 let mut lane = WorkerLane::default();
+                // The current decision path, refilled in place.
+                let mut path = Vec::new();
                 loop {
                     let wait = Instant::now();
                     let Some((item, stolen)) = frontier.pop_stealing(me) else {
@@ -210,7 +212,8 @@ where
                     }
                     let mut cursor = DporCursor::with_base(item.prefix, item.sleep, item.next);
                     loop {
-                        if beyond(&cursor.path(), &best.lock().unwrap()) {
+                        cursor.path_into(&mut path);
+                        if beyond(&path, &best.lock().unwrap()) {
                             break; // cursor runs are lex-increasing: all later ones beyond too
                         }
                         cursor.rewind();
@@ -233,12 +236,12 @@ where
                             } else {
                                 local.truncated += 1;
                             }
-                            if visit(&result, &cursor.path()) {
+                            cursor.path_into(&mut path);
+                            if visit(&result, &path) {
                                 local.stopped_early = true;
-                                let path = cursor.path();
                                 let mut b = best.lock().unwrap();
                                 if !beyond(&path, &b) || b.is_none() {
-                                    *b = Some(path);
+                                    *b = Some(path.clone());
                                 }
                             }
                         }

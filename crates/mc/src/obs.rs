@@ -9,12 +9,11 @@
 //! executions side by side.
 
 use crate::layout::{GLOBAL_LOCK, LOCK_FREE};
-use jungle_core::ids::{OpId, ProcId};
+use jungle_core::ids::ProcId;
 use jungle_core::op::{Command, Op};
 use jungle_isa::instr::Instr;
-use jungle_isa::trace::Trace;
+use jungle_isa::trace::{Trace, TraceOp};
 use jungle_obs::TmSnapshot;
-use std::collections::HashMap;
 
 /// Classify every instruction and operation of `trace` into TM runtime
 /// counters.
@@ -33,21 +32,14 @@ use std::collections::HashMap;
 pub fn tm_counts_from_trace(trace: &Trace) -> TmSnapshot {
     let mut snap = TmSnapshot::default();
 
-    // Memory-instruction footprint of each operation.
-    let mut footprint: HashMap<(ProcId, OpId), u64> = HashMap::new();
     for ii in trace.instrs() {
         match ii.instr {
             Instr::Load { addr, .. } => {
-                *footprint.entry((ii.proc, ii.op)).or_insert(0) += 1;
                 if addr == GLOBAL_LOCK {
                     snap.lock_spins += 1;
                 }
             }
-            Instr::Store { .. } => {
-                *footprint.entry((ii.proc, ii.op)).or_insert(0) += 1;
-            }
             Instr::Cas { addr, new, ok, .. } => {
-                *footprint.entry((ii.proc, ii.op)).or_insert(0) += 1;
                 if !ok {
                     snap.cas_failures += 1;
                 }
@@ -59,51 +51,64 @@ pub fn tm_counts_from_trace(trace: &Trace) -> TmSnapshot {
                     }
                 }
             }
-            Instr::Inv(_) | Instr::Resp(_) => {}
+            Instr::Store { .. } | Instr::Inv(_) | Instr::Resp(_) => {}
         }
     }
 
-    // Operation-level classification, tracking per-process txn state.
-    let mut in_txn: HashMap<ProcId, bool> = HashMap::new();
+    // Operation-level classification, tracking per-process txn state
+    // (the processes currently inside a transaction).
+    let mut in_txn: Vec<ProcId> = Vec::new();
     for top in trace.ops() {
-        let inside = in_txn.entry(top.proc).or_insert(false);
+        let inside = in_txn.contains(&top.proc);
         match &top.op {
-            Op::Start => *inside = true,
+            Op::Start => {
+                if !inside {
+                    in_txn.push(top.proc);
+                }
+            }
             Op::Commit => {
                 if top.complete {
                     snap.commits += 1;
                 }
-                *inside = false;
+                in_txn.retain(|&p| p != top.proc);
             }
             Op::Abort => {
                 if top.complete {
                     snap.aborts += 1;
                 }
-                *inside = false;
+                in_txn.retain(|&p| p != top.proc);
             }
             Op::Cmd(cmd) => {
                 let is_write = matches!(
                     cmd,
                     Command::Write { .. } | Command::DepWrite { .. } | Command::FetchAdd { .. }
                 );
-                if *inside {
+                if inside {
                     if is_write {
                         snap.txn_writes += 1;
                     } else {
                         snap.txn_reads += 1;
                     }
+                } else if memory_instrs(trace, top) > 1 {
+                    snap.nontxn_instrumented += 1;
                 } else {
-                    let n = footprint.get(&(top.proc, top.id)).copied().unwrap_or(0);
-                    if n > 1 {
-                        snap.nontxn_instrumented += 1;
-                    } else {
-                        snap.nontxn_uninstrumented += 1;
-                    }
+                    snap.nontxn_uninstrumented += 1;
                 }
             }
         }
     }
     snap
+}
+
+/// The memory instructions `op` executed: its process's non-marker
+/// instructions between its first and last trace position (a
+/// well-formed trace interleaves no other operation of the same
+/// process there).
+fn memory_instrs(trace: &Trace, op: &TraceOp) -> usize {
+    trace.instrs()[op.first..=op.last]
+        .iter()
+        .filter(|ii| ii.proc == op.proc && !ii.instr.is_marker())
+        .count()
 }
 
 #[cfg(test)]
@@ -194,5 +199,31 @@ mod tests {
         assert_eq!(snap.aborts, 1);
         assert_eq!(snap.commits, 0);
         assert_eq!(snap.txn_reads, 1);
+    }
+
+    #[test]
+    fn overlapping_operations_count_only_their_own_instructions() {
+        use jungle_core::ids::OpId;
+        use jungle_isa::instr::InstrInstance;
+        // p0's bare read spans p1's two-instruction write: p0 stays
+        // uninstrumented, p1 is instrumented.
+        let at = |proc: u32, op: u32, instr: Instr| InstrInstance {
+            instr,
+            proc: ProcId(proc),
+            op: OpId(op),
+        };
+        let trace = Trace::new(vec![
+            at(0, 1, Instr::Inv(rd(0))),
+            at(1, 2, Instr::Inv(wr(5))),
+            at(1, 2, Instr::Load { addr: 0, val: 0 }),
+            at(0, 1, Instr::Load { addr: 0, val: 0 }),
+            at(1, 2, Instr::Store { addr: 0, val: 5 }),
+            at(0, 1, Instr::Resp(rd(0))),
+            at(1, 2, Instr::Resp(wr(5))),
+        ])
+        .unwrap();
+        let snap = tm_counts_from_trace(&trace);
+        assert_eq!(snap.nontxn_uninstrumented, 1);
+        assert_eq!(snap.nontxn_instrumented, 1);
     }
 }

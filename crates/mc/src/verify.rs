@@ -517,8 +517,7 @@ fn build_machine(program: &Program, algo: &dyn TmAlgo, hw: HwModel) -> Machine {
         .0
         .iter()
         .enumerate()
-        .map(|(i, t)| algo.make_process(ProcId(i as u32), t.clone()))
-        .collect();
+        .map(|(i, t)| algo.make_process(ProcId(i as u32), t.clone()));
     Machine::new(hw, procs)
 }
 

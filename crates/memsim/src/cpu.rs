@@ -21,7 +21,6 @@
 use jungle_core::ids::Val;
 use jungle_core::registry::{ExecSemantics, StoreDiscipline};
 use jungle_isa::instr::Addr;
-use std::collections::HashMap;
 
 /// The hardware model the simulated machine executes. Since the model
 /// registry unification this *is* the execution-side semantics of a
@@ -50,15 +49,15 @@ pub struct PendingStore {
 /// *observed* for an address (by reading it, or by draining its own
 /// store to it); loads may never return a version older than the floor.
 /// A CAS raises the **global** floor (it acts as a full fence).
+///
+/// Programs touch a handful of addresses, so the per-address floors are
+/// a short unsorted list searched linearly, and no query allocates.
 #[derive(Clone, Debug, Default)]
 pub struct ReorderEngine {
     entries: Vec<PendingStore>,
     global_floor: u64,
-    addr_floors: HashMap<Addr, u64>,
+    addr_floors: Vec<(Addr, u64)>,
 }
-
-/// Backwards-compatible name for [`ReorderEngine`].
-pub type StoreBuffer = ReorderEngine;
 
 impl ReorderEngine {
     /// Enqueue a store.
@@ -87,30 +86,19 @@ impl ReorderEngine {
     }
 
     /// The indices of entries that may drain next under `hw`'s store
-    /// discipline: FIFO — only the oldest entry; per-address — the
-    /// oldest entry *per address*; immediate — the buffer is never
-    /// populated.
-    pub fn drainable(&self, hw: HwModel) -> Vec<usize> {
-        match hw.stores {
-            StoreDiscipline::Immediate => Vec::new(),
-            StoreDiscipline::Fifo => {
-                if self.entries.is_empty() {
-                    Vec::new()
-                } else {
-                    vec![0]
-                }
-            }
-            StoreDiscipline::PerAddress => {
-                let mut seen: HashMap<Addr, ()> = HashMap::new();
-                let mut out = Vec::new();
-                for (i, e) in self.entries.iter().enumerate() {
-                    if seen.insert(e.addr, ()).is_none() {
-                        out.push(i);
-                    }
-                }
-                out
-            }
-        }
+    /// discipline, ascending: FIFO — only the oldest entry;
+    /// per-address — the oldest entry *per address*; immediate — the
+    /// buffer is never populated.
+    pub fn drainable(&self, hw: HwModel) -> impl Iterator<Item = usize> + '_ {
+        let candidates = match hw.stores {
+            StoreDiscipline::Immediate => 0,
+            StoreDiscipline::Fifo => self.entries.len().min(1),
+            StoreDiscipline::PerAddress => self.entries.len(),
+        };
+        (0..candidates).filter(move |&i| {
+            let addr = self.entries[i].addr;
+            !self.entries[..i].iter().any(|e| e.addr == addr)
+        })
     }
 
     /// Remove and return the entry at `idx`.
@@ -118,56 +106,49 @@ impl ReorderEngine {
         self.entries.remove(idx)
     }
 
-    /// Drain every entry in order, returning them (used by CAS and at
-    /// termination).
-    pub fn drain_all(&mut self) -> Vec<PendingStore> {
-        std::mem::take(&mut self.entries)
+    /// Remove and return the oldest entry, if any. A CAS drains the
+    /// whole buffer in order by looping over this.
+    pub fn take_oldest(&mut self) -> Option<PendingStore> {
+        if self.entries.is_empty() {
+            None
+        } else {
+            Some(self.entries.remove(0))
+        }
     }
 
-    /// The stores that must drain (in order) before this CPU may *load*
-    /// `addr` on a machine **without** store-to-load forwarding: under
-    /// FIFO the whole prefix up to the youngest same-address entry
-    /// (TSO's load waits for its own store to become visible), under
-    /// per-address queues just that address's queue. Empty when no
-    /// same-address store is pending.
-    pub fn force_drain_for_load(&mut self, hw: HwModel, addr: Addr) -> Vec<PendingStore> {
-        let mut out = Vec::new();
+    /// The index of the next store that must drain before this CPU may
+    /// *load* `addr` on a machine **without** store-to-load forwarding,
+    /// or `None` once the load may proceed. Draining until `None`
+    /// empties, under FIFO, the whole prefix up to the youngest
+    /// same-address entry (TSO's load waits for its own store to become
+    /// visible), and under per-address queues just that address's
+    /// queue.
+    pub fn next_forced_drain(&self, hw: HwModel, addr: Addr) -> Option<usize> {
+        let pos = self.entries.iter().position(|e| e.addr == addr)?;
         match hw.stores {
-            StoreDiscipline::Immediate => {}
-            StoreDiscipline::Fifo => {
-                while self.entries.iter().any(|e| e.addr == addr) {
-                    out.push(self.entries.remove(0));
-                }
-            }
-            StoreDiscipline::PerAddress => {
-                let mut i = 0;
-                while i < self.entries.len() {
-                    if self.entries[i].addr == addr {
-                        out.push(self.entries.remove(i));
-                    } else {
-                        i += 1;
-                    }
-                }
-            }
+            StoreDiscipline::Immediate => None,
+            StoreDiscipline::Fifo => Some(0),
+            StoreDiscipline::PerAddress => Some(pos),
         }
-        out
     }
 
     /// The effective coherence floor for `addr`: the newest sequence
     /// number this CPU is known to have observed for it.
     pub fn eff_floor(&self, addr: Addr) -> u64 {
         self.addr_floors
-            .get(&addr)
-            .copied()
-            .unwrap_or(0)
+            .iter()
+            .find(|&&(a, _)| a == addr)
+            .map_or(0, |&(_, f)| f)
             .max(self.global_floor)
     }
 
     /// Record that this CPU observed version `seq` of `addr` (by
     /// loading it or draining its own store to it). Floors only rise.
     pub fn raise_addr_floor(&mut self, addr: Addr, seq: u64) {
-        let f = self.addr_floors.entry(addr).or_insert(0);
-        *f = (*f).max(seq);
+        match self.addr_floors.iter_mut().find(|(a, _)| *a == addr) {
+            Some((_, f)) => *f = (*f).max(seq),
+            None => self.addr_floors.push((addr, seq)),
+        }
     }
 
     /// Record a full fence (CAS): the CPU has observed global memory up
@@ -178,6 +159,21 @@ impl ReorderEngine {
     }
 }
 
+/// One written address of [`GlobalMem`]: its retained versions, oldest
+/// → newest, inline.
+#[derive(Clone, Copy, Debug)]
+struct MemCell {
+    addr: Addr,
+    len: usize,
+    versions: [(u64, Val); MAX_VERSIONS],
+}
+
+impl MemCell {
+    fn versions(&self) -> &[(u64, Val)] {
+        &self.versions[..self.len]
+    }
+}
+
 /// Flat global memory (zero-initialized, sparse) with a short
 /// per-address version history.
 ///
@@ -185,11 +181,14 @@ impl ReorderEngine {
 /// [`MAX_VERSIONS`] values of each address are retained so machines
 /// with a load reorder window can offer stale reads. The implicit
 /// initial value `0` counts as version `(0, 0)`.
+///
+/// Written addresses are kept in one vector sorted by address, each
+/// with its versions inline, so a store allocates only when a new
+/// address grows the vector and [`snapshot`](Self::snapshot) needs no
+/// sort.
 #[derive(Clone, Debug, Default)]
 pub struct GlobalMem {
-    /// Versions per address, oldest → newest; always non-empty once
-    /// present (seeded with the initial `(0, 0)`).
-    cells: HashMap<Addr, Vec<(u64, Val)>>,
+    cells: Vec<MemCell>,
     seq: u64,
 }
 
@@ -197,28 +196,44 @@ pub struct GlobalMem {
 static INITIAL_VERSION: [(u64, Val); 1] = [(0, 0)];
 
 impl GlobalMem {
+    fn cell(&self, addr: Addr) -> Option<&MemCell> {
+        self.cells
+            .binary_search_by_key(&addr, |c| c.addr)
+            .ok()
+            .map(|i| &self.cells[i])
+    }
+
     /// Read the current value of an address (0 if never written).
     pub fn load(&self, addr: Addr) -> Val {
-        self.cells
-            .get(&addr)
-            .and_then(|vs| vs.last())
-            .map(|&(_, v)| v)
-            .unwrap_or(0)
+        self.versions(addr).last().map_or(0, |&(_, v)| v)
     }
 
     /// Write an address; returns the new version's global sequence
     /// number.
     pub fn store(&mut self, addr: Addr, val: Val) -> u64 {
         self.seq += 1;
-        let vs = self
-            .cells
-            .entry(addr)
-            .or_insert_with(|| INITIAL_VERSION.to_vec());
-        vs.push((self.seq, val));
-        if vs.len() > MAX_VERSIONS {
-            let cut = vs.len() - MAX_VERSIONS;
-            vs.drain(..cut);
+        let i = match self.cells.binary_search_by_key(&addr, |c| c.addr) {
+            Ok(i) => i,
+            Err(i) => {
+                // Slot 0 holds the implicit initial version `(0, 0)`.
+                self.cells.insert(
+                    i,
+                    MemCell {
+                        addr,
+                        len: 1,
+                        versions: [(0, 0); MAX_VERSIONS],
+                    },
+                );
+                i
+            }
+        };
+        let c = &mut self.cells[i];
+        if c.len == MAX_VERSIONS {
+            c.versions.copy_within(1.., 0);
+            c.len -= 1;
         }
+        c.versions[c.len] = (self.seq, val);
+        c.len += 1;
         self.seq
     }
 
@@ -230,21 +245,15 @@ impl GlobalMem {
     /// The retained versions of `addr`, oldest → newest (at least one
     /// entry; `(0, 0)` for a never-written address).
     pub fn versions(&self, addr: Addr) -> &[(u64, Val)] {
-        self.cells
-            .get(&addr)
-            .map(|vs| vs.as_slice())
-            .unwrap_or(&INITIAL_VERSION)
+        self.cell(addr).map_or(&INITIAL_VERSION, MemCell::versions)
     }
 
     /// Snapshot of all written cells' current values, sorted by address.
     pub fn snapshot(&self) -> Vec<(Addr, Val)> {
-        let mut v: Vec<(Addr, Val)> = self
-            .cells
+        self.cells
             .iter()
-            .filter_map(|(a, vs)| vs.last().map(|&(_, x)| (*a, x)))
-            .collect();
-        v.sort_unstable();
-        v
+            .map(|c| (c.addr, c.versions[c.len - 1].1))
+            .collect()
     }
 
     /// Atomic compare-and-swap on the current value; returns whether it
@@ -274,15 +283,29 @@ mod tests {
         assert_eq!(b.forward(7), None);
     }
 
+    fn drainable(b: &ReorderEngine, hw: HwModel) -> Vec<usize> {
+        b.drainable(hw).collect()
+    }
+
+    /// Drain `b` the way a non-forwarding load of `addr` does.
+    fn forced_drains(b: &mut ReorderEngine, hw: HwModel, addr: Addr) -> Vec<(Addr, Val)> {
+        let mut out = Vec::new();
+        while let Some(i) = b.next_forced_drain(hw, addr) {
+            let e = b.take(i);
+            out.push((e.addr, e.val));
+        }
+        out
+    }
+
     #[test]
     fn tso_drains_fifo_only() {
         let mut b = ReorderEngine::default();
         b.push(0, 1);
         b.push(1, 2);
-        assert_eq!(b.drainable(HwModel::Tso), vec![0]);
+        assert_eq!(drainable(&b, HwModel::Tso), vec![0]);
         let e = b.take(0);
         assert_eq!(e, PendingStore { addr: 0, val: 1 });
-        assert_eq!(b.drainable(HwModel::Tso), vec![0]);
+        assert_eq!(drainable(&b, HwModel::Tso), vec![0]);
     }
 
     #[test]
@@ -292,11 +315,11 @@ mod tests {
         b.push(0, 2);
         b.push(1, 9);
         // Oldest per address: index 0 (addr 0) and index 2 (addr 1).
-        assert_eq!(b.drainable(HwModel::Pso), vec![0, 2]);
+        assert_eq!(drainable(&b, HwModel::Pso), vec![0, 2]);
         // Same-address order is preserved: 0→2 cannot drain before 0→1.
         let e = b.take(2);
         assert_eq!(e.addr, 1);
-        assert_eq!(b.drainable(HwModel::Pso), vec![0]);
+        assert_eq!(drainable(&b, HwModel::Pso), vec![0]);
     }
 
     #[test]
@@ -308,14 +331,24 @@ mod tests {
         b.push(0, 2);
         b.push(1, 9);
         for hw in [HwModel::RMO, HwModel::ALPHA, HwModel::RELAXED] {
-            assert_eq!(b.drainable(hw), vec![0, 2], "{}", hw.name);
+            assert_eq!(drainable(&b, hw), vec![0, 2], "{}", hw.name);
         }
     }
 
     #[test]
     fn sc_never_buffers() {
         let b = ReorderEngine::default();
-        assert_eq!(b.drainable(HwModel::Sc), Vec::<usize>::new());
+        assert_eq!(drainable(&b, HwModel::Sc), Vec::<usize>::new());
+    }
+
+    #[test]
+    fn take_oldest_drains_in_order() {
+        let mut b = ReorderEngine::default();
+        b.push(1, 9);
+        b.push(0, 1);
+        assert_eq!(b.take_oldest(), Some(PendingStore { addr: 1, val: 9 }));
+        assert_eq!(b.take_oldest(), Some(PendingStore { addr: 0, val: 1 }));
+        assert_eq!(b.take_oldest(), None);
     }
 
     #[test]
@@ -327,9 +360,8 @@ mod tests {
         b.push(0, 1);
         b.push(2, 3);
         b.push(0, 2);
-        let drained = b.force_drain_for_load(HwModel::TSO, 0);
         assert_eq!(
-            drained.iter().map(|e| (e.addr, e.val)).collect::<Vec<_>>(),
+            forced_drains(&mut b, HwModel::TSO, 0),
             vec![(1, 9), (0, 1), (2, 3), (0, 2)]
         );
         assert!(b.is_empty());
@@ -341,13 +373,17 @@ mod tests {
         b.push(1, 9);
         b.push(0, 1);
         b.push(0, 2);
-        let drained = b.force_drain_for_load(HwModel::PSO, 0);
-        assert_eq!(
-            drained.iter().map(|e| (e.addr, e.val)).collect::<Vec<_>>(),
-            vec![(0, 1), (0, 2)]
-        );
+        assert_eq!(forced_drains(&mut b, HwModel::PSO, 0), vec![(0, 1), (0, 2)]);
         assert_eq!(b.len(), 1);
         assert_eq!(b.forward(1), Some(9));
+    }
+
+    #[test]
+    fn forced_drain_without_same_address_store_is_empty() {
+        let mut b = ReorderEngine::default();
+        b.push(1, 9);
+        assert_eq!(forced_drains(&mut b, HwModel::TSO, 0), vec![]);
+        assert_eq!(b.len(), 1);
     }
 
     #[test]
@@ -394,5 +430,16 @@ mod tests {
         let before = m.seq();
         m.store(1, 1);
         assert_eq!(m.seq(), before + 1);
+    }
+
+    #[test]
+    fn snapshot_lists_written_cells_by_address() {
+        let mut m = GlobalMem::default();
+        m.store(7, 1);
+        m.store(2, 5);
+        m.store(7, 3);
+        assert!(m.cas(4, 0, 9));
+        assert_eq!(m.snapshot(), vec![(2, 5), (4, 9), (7, 3)]);
+        assert_eq!(m.load(5), 0, "unwritten addresses read 0");
     }
 }

@@ -44,6 +44,29 @@
 //!
 //! Every run records a [`Trace`](jungle_isa::Trace) whose corresponding
 //! histories are checked by `jungle-core`.
+//!
+//! ## Cost model
+//!
+//! The model checker spends most of its time here: one `report` pass
+//! makes tens of thousands of [`Machine::run`] calls of about 30
+//! scheduler decisions each, and the DPOR explorer re-runs whole
+//! prefixes for every probe. So the rule is that **a decision does not
+//! allocate**. The choice list is one vector refilled in place; a
+//! [`Footprint`] keeps its read and write sets inline ([`AddrSet`]);
+//! global memory, coherence floors and store buffers are short vectors
+//! searched linearly or by binary search, never hashed; a load with one
+//! admissible version builds no version list; and
+//! [`BurstyScheduler`] counts its preferred actions instead of
+//! collecting them. What remains per run is a fixed handful of
+//! allocations: the machine and its processes, the trace, footprint and
+//! choice vectors, the memory cells and the final snapshot.
+//! `crates/mc/tests/alloc_budget.rs` holds every fixed experiment of
+//! `jungle-mc` to at most one allocation per decision, counted from
+//! building the machine to the returned [`RunResult`], and
+//! `crates/mc/tests/sim_determinism.rs` pins every schedule, trace,
+//! footprint and final memory those runs produce to a golden
+//! fingerprint. A whole run is one `memsim.run` phase of the
+//! `jungle_obs::profile` profiler.
 
 #![warn(missing_docs)]
 
@@ -52,11 +75,11 @@ pub mod machine;
 pub mod process;
 pub mod sched;
 
-pub use cpu::{GlobalMem, HwModel, PendingStore, ReorderEngine, StoreBuffer, MAX_VERSIONS};
+pub use cpu::{GlobalMem, HwModel, PendingStore, ReorderEngine, MAX_VERSIONS};
 pub use jungle_core::registry::{ExecSemantics, StoreDiscipline};
 pub use machine::{explore, ExploreOutcome, Machine, RunResult};
 pub use process::{PInstr, Process, Step};
 pub use sched::{
-    Action, BurstyScheduler, ChoicePoint, DirectedScheduler, Divergence, ExhaustiveCursor,
+    Action, AddrSet, BurstyScheduler, ChoicePoint, DirectedScheduler, Divergence, ExhaustiveCursor,
     Footprint, RandomScheduler, RecordingScheduler, ReplayScheduler, Scheduler,
 };

@@ -41,6 +41,11 @@ pub struct RunResult {
     pub stats: MachineStats,
 }
 
+/// Initial capacity of the per-run instruction and footprint vectors:
+/// the paper's constructions and litmus programs take about 30
+/// decisions, so most runs never regrow them.
+const RUN_CAPACITY: usize = 64;
+
 struct CpuState {
     proc: Box<dyn Process>,
     buffer: ReorderEngine,
@@ -56,6 +61,9 @@ pub struct Machine {
     hw: HwModel,
     mem: GlobalMem,
     cpus: Vec<CpuState>,
+    /// The choice list handed to the scheduler, refilled in place at
+    /// every decision (the enabled actions, or a load's version picks).
+    actions: Vec<Action>,
     instrs: Vec<InstrInstance>,
     next_op: u32,
     stats: MachineStats,
@@ -68,7 +76,7 @@ pub struct Machine {
 impl Machine {
     /// Create a machine with one CPU per process in `procs`, executing
     /// under hardware model `hw`. CPU `i` runs as `ProcId(i)`.
-    pub fn new(hw: HwModel, procs: Vec<Box<dyn Process>>) -> Self {
+    pub fn new(hw: HwModel, procs: impl IntoIterator<Item = Box<dyn Process>>) -> Self {
         let cpus = procs
             .into_iter()
             .map(|proc| CpuState {
@@ -83,13 +91,14 @@ impl Machine {
             hw,
             mem: GlobalMem::default(),
             cpus,
-            instrs: Vec::new(),
+            actions: Vec::new(),
+            instrs: Vec::with_capacity(RUN_CAPACITY),
             next_op: 1,
             stats: MachineStats {
                 model: hw.name,
                 ..MachineStats::default()
             },
-            footprints: Vec::new(),
+            footprints: Vec::with_capacity(RUN_CAPACITY),
             observed: 0,
         }
     }
@@ -105,17 +114,19 @@ impl Machine {
         self.mem.load(addr)
     }
 
-    fn enabled(&self) -> Vec<Action> {
-        let mut out = Vec::new();
+    /// Refill `self.actions` with the enabled actions, in CPU order.
+    fn fill_enabled(&mut self) {
+        self.actions.clear();
         for (i, c) in self.cpus.iter().enumerate() {
             if !c.done {
-                out.push(Action::Exec { cpu: i });
+                self.actions.push(Action::Exec { cpu: i });
             }
-            for idx in c.buffer.drainable(self.hw) {
-                out.push(Action::Drain { cpu: i, idx });
-            }
+            self.actions.extend(
+                c.buffer
+                    .drainable(self.hw)
+                    .map(|idx| Action::Drain { cpu: i, idx }),
+            );
         }
-        out
     }
 
     fn record(&mut self, cpu: usize, instr: Instr) -> usize {
@@ -136,8 +147,17 @@ impl Machine {
     /// floor). Counts as a global-memory write on the current decision.
     fn apply_drain(&mut self, cpu: usize, addr: Addr, val: Val) {
         let seq = self.mem.store(addr, val);
-        self.cpus[cpu].buffer.raise_addr_floor(addr, seq);
+        self.observed_version(cpu, addr, seq);
         self.note_write(addr);
+    }
+
+    /// `cpu` has observed version `seq` of `addr`: raise its coherence
+    /// floor. Floors only bound the load window, so a model without one
+    /// never reads them and skips the bookkeeping.
+    fn observed_version(&mut self, cpu: usize, addr: Addr, seq: u64) {
+        if self.hw.load_window > 0 {
+            self.cpus[cpu].buffer.raise_addr_floor(addr, seq);
+        }
     }
 
     /// The footprint of the decision currently executing.
@@ -148,17 +168,11 @@ impl Machine {
     }
 
     fn note_read(&mut self, addr: Addr) {
-        let f = self.fp();
-        if !f.reads.contains(&addr) {
-            f.reads.push(addr);
-        }
+        self.fp().reads.insert(addr);
     }
 
     fn note_write(&mut self, addr: Addr) {
-        let f = self.fp();
-        if !f.writes.contains(&addr) {
-            f.writes.push(addr);
-        }
+        self.fp().writes.insert(addr);
     }
 
     /// Report every completed-but-unreported decision footprint to the
@@ -173,26 +187,24 @@ impl Machine {
         }
     }
 
-    /// The memory versions a load of `addr` on `cpu` may observe,
-    /// newest first: the current value plus up to `load_window` older
-    /// ones, cut off at the CPU's coherence floor. A stale version is
-    /// admissible only while the CPU has not yet observed the write
-    /// that overwrote it (i.e. the next-newer version's sequence number
-    /// is above the floor).
-    fn admissible_versions(&self, cpu: usize, addr: Addr) -> Vec<(u64, Val)> {
+    /// How many memory versions a load of `addr` on `cpu` may observe:
+    /// the current value plus up to `load_window` older ones, cut off at
+    /// the CPU's coherence floor. Version `d` (0 = newest) is
+    /// `versions(addr)[n - 1 - d]`. A stale version is admissible only
+    /// while the CPU has not yet observed the write that overwrote it
+    /// (i.e. the next-newer version's sequence number is above the
+    /// floor).
+    fn admissible_count(&self, cpu: usize, addr: Addr) -> usize {
+        if self.hw.load_window == 0 {
+            return 1;
+        }
         let vs = self.mem.versions(addr);
         let floor = self.cpus[cpu].buffer.eff_floor(addr);
         let n = vs.len();
         let window = (self.hw.load_window as usize).min(n - 1);
-        let mut out = Vec::with_capacity(window + 1);
-        for d in 0..=window {
-            let i = n - 1 - d;
-            if d > 0 && vs[i + 1].0 <= floor {
-                break; // older versions are below the floor too
-            }
-            out.push(vs[i]);
-        }
-        out
+        // Once one overwrite is at or below the floor, older versions
+        // are below it too.
+        1 + (1..=window).take_while(|&d| vs[n - d].0 > floor).count()
     }
 
     /// Perform a load of `addr` against global memory (the forwarding
@@ -207,39 +219,41 @@ impl Machine {
         dep_ordered: bool,
         sched: &mut dyn Scheduler,
     ) -> Val {
-        let mut options = self.admissible_versions(cpu, addr);
-        if dep_ordered {
-            options.truncate(1);
-        }
+        let options = if dep_ordered {
+            1
+        } else {
+            self.admissible_count(cpu, addr)
+        };
         self.note_read(addr);
-        let (seq, val) = if options.len() > 1 {
-            let actions: Vec<Action> = (0..options.len())
-                .map(|version| Action::ReadVersion { cpu, version })
-                .collect();
+        let version = if options > 1 {
+            self.actions.clear();
+            self.actions
+                .extend((0..options).map(|version| Action::ReadVersion { cpu, version }));
             // The enclosing Exec decision's accesses are all recorded by
             // now (forced drains and the read above) — safe to report it
             // before asking for the version pick.
             self.flush_observations(sched);
-            let c = sched.choose(&actions);
+            let c = sched.choose(&self.actions);
             assert!(
-                c < actions.len(),
-                "scheduler chose index {c} of {} admissible versions",
-                actions.len()
+                c < options,
+                "scheduler chose index {c} of {options} admissible versions"
             );
             self.footprints.push(Footprint {
                 cpu,
-                reads: vec![addr],
+                reads: [addr].into_iter().collect(),
                 ..Footprint::default()
             });
             if c > 0 {
                 self.stats.stale_loads += 1;
                 trace::emit(EventKind::StaleLoad, addr as u64, c as u64);
             }
-            options[c]
+            c
         } else {
-            options[0]
+            0
         };
-        self.cpus[cpu].buffer.raise_addr_floor(addr, seq);
+        let vs = self.mem.versions(addr);
+        let (seq, val) = vs[vs.len() - 1 - version];
+        self.observed_version(cpu, addr, seq);
         val
     }
 
@@ -261,8 +275,8 @@ impl Machine {
         } else {
             // The load must wait for the CPU's own pending stores to
             // `addr` to become globally visible.
-            let drained = self.cpus[cpu].buffer.force_drain_for_load(self.hw, addr);
-            for e in drained {
+            while let Some(idx) = self.cpus[cpu].buffer.next_forced_drain(self.hw, addr) {
+                let e = self.cpus[cpu].buffer.take(idx);
                 self.stats.flushes += 1;
                 self.apply_drain(cpu, e.addr, e.val);
             }
@@ -332,7 +346,7 @@ impl Machine {
                     self.fp().fence = true;
                     // A CAS acts like a full fence: drain the CPU's own
                     // buffer before executing atomically…
-                    for e in self.cpus[cpu].buffer.drain_all() {
+                    while let Some(e) = self.cpus[cpu].buffer.take_oldest() {
                         self.stats.flushes += 1;
                         self.apply_drain(cpu, e.addr, e.val);
                     }
@@ -363,61 +377,44 @@ impl Machine {
     }
 
     /// Run under `sched` until completion or `max_steps`.
+    ///
+    /// The whole run is one `memsim.run` profiler phase. A decision
+    /// allocates nothing once the run's vectors have reached their
+    /// working size: the choice list is refilled in place, footprints
+    /// keep their addresses inline, and memory, floors and buffers are
+    /// short vectors searched without hashing.
     pub fn run(mut self, sched: &mut dyn Scheduler, max_steps: usize) -> RunResult {
+        let _p = profile::enter("memsim.run");
         let mut steps = 0;
-        loop {
-            let actions = self.enabled();
-            if actions.is_empty() {
-                break;
+        let (completed, aborted) = loop {
+            self.fill_enabled();
+            if self.actions.is_empty() {
+                break (true, false);
             }
             if steps >= max_steps {
-                self.flush_observations(sched);
-                let final_mem = self.mem.snapshot();
-                self.stats.steps = steps as u64;
-                return RunResult {
-                    trace: Trace::new(self.instrs).expect("recorded trace is well-formed"),
-                    completed: false,
-                    aborted: false,
-                    steps,
-                    footprints: self.footprints,
-                    final_mem,
-                    stats: self.stats,
-                };
+                break (false, false);
             }
             self.flush_observations(sched);
-            let choice = {
-                let _p = profile::enter("memsim.choose");
-                sched.choose(&actions)
-            };
+            let choice = sched.choose(&self.actions);
             assert!(
-                choice < actions.len(),
+                choice < self.actions.len(),
                 "scheduler chose index {choice} of {} enabled actions",
-                actions.len()
+                self.actions.len()
             );
             if sched.abort_run() {
-                let final_mem = self.mem.snapshot();
-                self.stats.steps = steps as u64;
-                return RunResult {
-                    trace: Trace::new(self.instrs).expect("recorded trace is well-formed"),
-                    completed: false,
-                    aborted: true,
-                    steps,
-                    footprints: self.footprints,
-                    final_mem,
-                    stats: self.stats,
-                };
+                break (false, true);
             }
-            let cpu = match actions[choice] {
+            let action = self.actions[choice];
+            let cpu = match action {
                 Action::Exec { cpu } | Action::Drain { cpu, .. } => cpu,
                 Action::ReadVersion { .. } => {
                     unreachable!("ReadVersion appears only in synthetic mid-load choice lists")
                 }
             };
             self.footprints.push(Footprint::on(cpu));
-            match actions[choice] {
+            match action {
                 Action::Exec { cpu } => self.exec(cpu, sched),
                 Action::Drain { cpu, idx } => {
-                    let _p = profile::enter("memsim.drain");
                     self.stats.flushes += 1;
                     let e = self.cpus[cpu].buffer.take(idx);
                     trace::emit(EventKind::StoreDrain, e.addr as u64, e.val);
@@ -426,17 +423,18 @@ impl Machine {
                 Action::ReadVersion { .. } => unreachable!(),
             }
             steps += 1;
-        }
+        };
+        // Report the last decision (an aborted run's cut decision
+        // recorded no footprint).
         self.flush_observations(sched);
-        let final_mem = self.mem.snapshot();
         self.stats.steps = steps as u64;
         RunResult {
             trace: Trace::new(self.instrs).expect("recorded trace is well-formed"),
-            completed: true,
-            aborted: false,
+            completed,
+            aborted,
             steps,
             footprints: self.footprints,
-            final_mem,
+            final_mem: self.mem.snapshot(),
             stats: self.stats,
         }
     }
@@ -800,6 +798,14 @@ mod tests {
         }))
     }
 
+    /// The admissible versions of `addr` on `cpu`, newest first.
+    fn admissible(m: &Machine, cpu: usize, addr: Addr) -> Vec<(u64, Val)> {
+        let vs = m.mem.versions(addr);
+        (0..m.admissible_count(cpu, addr))
+            .map(|d| vs[vs.len() - 1 - d])
+            .collect()
+    }
+
     #[test]
     fn admissible_versions_respect_window_and_floors() {
         let mut m = Machine::new(HwModel::RMO, vec![one_read(X, 0, false)]);
@@ -808,14 +814,14 @@ mod tests {
         let s3 = m.mem.store(0, 3);
         let s4 = m.mem.store(0, 4);
         // RMO's window of 2: the newest three versions are admissible.
-        assert_eq!(m.admissible_versions(0, 0), vec![(s4, 4), (s3, 3), (s2, 2)]);
+        assert_eq!(admissible(&m, 0, 0), vec![(s4, 4), (s3, 3), (s2, 2)]);
         // Once the CPU observed version s3, version s2 is gone (its
         // overwriter s3 is at or below the floor).
         m.cpus[0].buffer.raise_addr_floor(0, s3);
-        assert_eq!(m.admissible_versions(0, 0), vec![(s4, 4), (s3, 3)]);
+        assert_eq!(admissible(&m, 0, 0), vec![(s4, 4), (s3, 3)]);
         // A full fence pins the load to the current value.
         m.cpus[0].buffer.raise_global_floor(s4);
-        assert_eq!(m.admissible_versions(0, 0), vec![(s4, 4)]);
+        assert_eq!(admissible(&m, 0, 0), vec![(s4, 4)]);
 
         let mut m = Machine::new(HwModel::RELAXED, vec![one_read(X, 0, false)]);
         let s1b = m.mem.store(0, 1);
@@ -825,7 +831,7 @@ mod tests {
         let s4 = m.mem.store(0, 4);
         // Relaxed's window of 3 reaches one version further back.
         assert_eq!(
-            m.admissible_versions(0, 0),
+            admissible(&m, 0, 0),
             vec![(s4, 4), (s3, 3), (s2, 2), (s1, 1)]
         );
     }
@@ -948,7 +954,7 @@ mod tests {
         assert_eq!(r.footprints.len(), 4);
         assert!(r.footprints.iter().all(|f| f.cpu == 0));
         assert!(r.footprints[0].inv && r.footprints[0].writes.is_empty());
-        assert_eq!(r.footprints[1].writes, vec![0]);
+        assert_eq!(*r.footprints[1].writes, [0]);
         assert!(r.footprints[2].resp);
         assert_eq!(r.footprints[3], Footprint::on(0));
     }
@@ -972,8 +978,8 @@ mod tests {
         assert!(r.completed);
         let f = &r.footprints[1];
         assert!(f.fence);
-        assert_eq!(f.reads, vec![0]);
-        assert_eq!(f.writes, vec![0], "successful CAS writes");
+        assert_eq!(*f.reads, [0]);
+        assert_eq!(*f.writes, [0], "successful CAS writes");
     }
 
     #[test]
@@ -986,8 +992,8 @@ mod tests {
         assert!(r.completed);
         // Inv, Load (outer), version pick (inner), Resp, Done.
         assert_eq!(r.footprints.len(), 5);
-        assert_eq!(r.footprints[1].reads, vec![0]);
-        assert_eq!(r.footprints[2].reads, vec![0]);
+        assert_eq!(*r.footprints[1].reads, [0]);
+        assert_eq!(*r.footprints[2].reads, [0]);
         assert!(!r.footprints[2].inv && !r.footprints[2].resp);
     }
 

@@ -56,6 +56,86 @@ impl Action {
     }
 }
 
+/// Addresses an [`AddrSet`] holds without allocating. A decision reads
+/// one address at most and writes one at most, except that a CAS or a
+/// load on a non-forwarding machine also writes every store it
+/// flushes.
+const INLINE_ADDRS: usize = 2;
+
+/// A small set of addresses in insertion order: up to two inline,
+/// spilling to a `Vec` beyond that. Dereferences to the slice of its
+/// elements; two sets are equal iff their slices are.
+#[derive(Clone)]
+pub struct AddrSet(AddrRepr);
+
+#[derive(Clone)]
+enum AddrRepr {
+    Inline(u8, [Addr; INLINE_ADDRS]),
+    Spilled(Vec<Addr>),
+}
+
+impl AddrSet {
+    /// Add `addr` at the end unless it is already present.
+    pub fn insert(&mut self, addr: Addr) {
+        if self.contains(&addr) {
+            return;
+        }
+        match &mut self.0 {
+            AddrRepr::Inline(len, items) if (*len as usize) < INLINE_ADDRS => {
+                items[*len as usize] = addr;
+                *len += 1;
+            }
+            AddrRepr::Inline(_, items) => {
+                let mut spilled = items.to_vec();
+                spilled.push(addr);
+                self.0 = AddrRepr::Spilled(spilled);
+            }
+            AddrRepr::Spilled(v) => v.push(addr),
+        }
+    }
+}
+
+impl Default for AddrSet {
+    fn default() -> Self {
+        AddrSet(AddrRepr::Inline(0, [0; INLINE_ADDRS]))
+    }
+}
+
+impl std::ops::Deref for AddrSet {
+    type Target = [Addr];
+
+    fn deref(&self) -> &[Addr] {
+        match &self.0 {
+            AddrRepr::Inline(len, items) => &items[..*len as usize],
+            AddrRepr::Spilled(v) => v,
+        }
+    }
+}
+
+impl PartialEq for AddrSet {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for AddrSet {}
+
+impl std::fmt::Debug for AddrSet {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl FromIterator<Addr> for AddrSet {
+    fn from_iter<I: IntoIterator<Item = Addr>>(iter: I) -> Self {
+        let mut set = AddrSet::default();
+        for addr in iter {
+            set.insert(addr);
+        }
+        set
+    }
+}
+
 /// The memory-level footprint of one scheduler decision: which CPU it
 /// ran on, which global-memory addresses it read or wrote, and whether
 /// it acted as a fence or crossed an operation boundary. The machine
@@ -79,10 +159,10 @@ pub struct Footprint {
     pub cpu: usize,
     /// Global-memory addresses read (loads, CAS comparisons, version
     /// picks).
-    pub reads: Vec<Addr>,
+    pub reads: AddrSet,
     /// Global-memory addresses written (immediate stores, drains,
     /// successful CAS, forced pre-load flushes).
-    pub writes: Vec<Addr>,
+    pub writes: AddrSet,
     /// True for CAS decisions: the CPU synchronized with the global
     /// store sequence, so the decision depends on every other CPU's
     /// writes.
@@ -246,25 +326,26 @@ impl Scheduler for BurstyScheduler {
             self.remaining = self.rng.gen_range(1..=8);
         }
         self.remaining -= 1;
-        let preferred: Vec<usize> = actions
+        let target = self.target;
+        let preferred = |a: &Action| {
+            matches!(
+                a,
+                Action::Exec { cpu } | Action::Drain { cpu, .. } | Action::ReadVersion { cpu, .. }
+                if *cpu == target
+            )
+        };
+        let n_preferred = actions.iter().filter(|a| preferred(a)).count();
+        if n_preferred == 0 {
+            return self.rng.gen_range(0..actions.len());
+        }
+        let k = self.rng.gen_range(0..n_preferred);
+        actions
             .iter()
             .enumerate()
-            .filter(|(_, a)| {
-                matches!(
-                    a,
-                    Action::Exec { cpu }
-                        | Action::Drain { cpu, .. }
-                        | Action::ReadVersion { cpu, .. }
-                    if *cpu == self.target
-                )
-            })
+            .filter(|(_, a)| preferred(a))
+            .nth(k)
             .map(|(i, _)| i)
-            .collect();
-        if preferred.is_empty() {
-            self.rng.gen_range(0..actions.len())
-        } else {
-            preferred[self.rng.gen_range(0..preferred.len())]
-        }
+            .expect("k is below the preferred count")
     }
 }
 
@@ -578,8 +659,8 @@ mod tests {
     fn footprint_dependence_relation() {
         let mem = |cpu: usize, reads: &[Addr], writes: &[Addr]| Footprint {
             cpu,
-            reads: reads.to_vec(),
-            writes: writes.to_vec(),
+            reads: reads.iter().copied().collect(),
+            writes: writes.iter().copied().collect(),
             ..Footprint::default()
         };
         // Same CPU: always dependent, even with empty footprints.
@@ -654,6 +735,73 @@ mod tests {
         rec.observe(&Footprint::on(0));
         assert!(rec.abort_run(), "abort must pass through the recorder");
         assert_eq!(p.observed, 1, "observe must pass through the recorder");
+    }
+
+    #[test]
+    fn addr_set_keeps_insertion_order_and_spills() {
+        let mut s = AddrSet::default();
+        assert!(s.is_empty());
+        s.insert(3);
+        s.insert(1);
+        s.insert(3);
+        assert_eq!(*s, [3, 1]);
+        s.insert(2);
+        s.insert(1);
+        assert_eq!(*s, [3, 1, 2]);
+        assert_eq!(s, [3, 1, 2].into_iter().collect());
+        assert_ne!(s, [3, 1].into_iter().collect());
+        assert_eq!(format!("{s:?}"), "[3, 1, 2]");
+    }
+
+    /// The bursty pick as first written: collect the preferred indices,
+    /// then draw one. The counting form must draw the same numbers.
+    fn bursty_reference(rng: &mut StdRng, state: &mut (usize, usize), actions: &[Action]) -> usize {
+        if state.1 == 0 {
+            state.0 = rng.gen_range(0..8);
+            state.1 = rng.gen_range(1..=8);
+        }
+        state.1 -= 1;
+        let preferred: Vec<usize> = actions
+            .iter()
+            .enumerate()
+            .filter(|(_, a)| {
+                matches!(a, Action::Exec { cpu } | Action::Drain { cpu, .. }
+                    | Action::ReadVersion { cpu, .. } if *cpu == state.0)
+            })
+            .map(|(i, _)| i)
+            .collect();
+        if preferred.is_empty() {
+            rng.gen_range(0..actions.len())
+        } else {
+            preferred[rng.gen_range(0..preferred.len())]
+        }
+    }
+
+    #[test]
+    fn bursty_counting_pick_replays_the_collecting_pick() {
+        let mut lists = StdRng::seed_from_u64(99);
+        for seed in 0..20 {
+            let mut bursty = BurstyScheduler::new(seed);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut state = (0, 0);
+            for _ in 0..200 {
+                let n = lists.gen_range(1..7);
+                let actions: Vec<Action> = (0..n)
+                    .map(|_| {
+                        let cpu = lists.gen_range(0..4);
+                        match lists.gen_range(0..3) {
+                            0 => Action::Exec { cpu },
+                            1 => Action::Drain { cpu, idx: 0 },
+                            _ => Action::ReadVersion { cpu, version: 0 },
+                        }
+                    })
+                    .collect();
+                assert_eq!(
+                    bursty.choose(&actions),
+                    bursty_reference(&mut rng, &mut state, &actions)
+                );
+            }
+        }
     }
 
     #[test]

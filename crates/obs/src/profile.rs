@@ -5,9 +5,11 @@
 //! *where the time went*. Call sites bracket a phase with
 //! [`enter`] — the returned guard closes the phase on drop — and the
 //! profiler attributes wall-clock to the full enclosing path
-//! (`report.figures > machine.run > memsim.choose`), splitting each
-//! node's total into self time (not covered by children) and
-//! aggregating an [`HistSnapshot`] of per-call latency.
+//! (`report.dpor > memsim.run`: one span per simulated run), splitting
+//! each node's total into self time (not covered by children) and
+//! aggregating an [`HistSnapshot`] of per-call latency. Spans bracket
+//! coarse phases, never single scheduler decisions: an installed
+//! profiler reads the clock twice per span.
 //!
 //! The discipline is the same zero-cost-when-off contract as
 //! [`trace`](crate::trace): with no [`Profiler`] [`install`]ed,

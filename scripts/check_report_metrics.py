@@ -648,7 +648,7 @@ def golden_report() -> dict:
                         1,
                         4_500_000_000,
                         4_000_000_000,
-                        [golden_phase("memsim.choose", 11_000_000, 400_000_000, 400_000_000)],
+                        [golden_phase("memsim.run", 520_000, 400_000_000, 400_000_000)],
                     ),
                     golden_phase("report.monitor", 1, 400_000_000, 400_000_000),
                 ],
